@@ -65,9 +65,11 @@ fn bench_engine(c: &mut Criterion) {
         let s = Session::new(&db, &ix);
         let plan = s.plan_query(&probe_q).unwrap();
         let resolver = Resolver::new(&db, &ix);
+        let opts = ExecOpts::default();
         b.iter(|| {
             let mut m = CostMeter::unbounded();
-            black_box(tab_engine::execute(&plan, &resolver, &mut m).unwrap().len())
+            let (rows, _) = tab_engine::execute(&plan, &resolver, &mut m, &opts, None).unwrap();
+            black_box(rows.len())
         })
     });
 }
@@ -151,26 +153,22 @@ fn bench_batch_operators(c: &mut Criterion) {
 
 /// The morsel-driven executor (DESIGN.md §12) on its two hot shapes —
 /// a filtered scan and a hash-join probe — at 10^4 and 10^5 rows, each
-/// through three executor variants: `scalar_1t` (row-at-a-time
-/// predicates, sequential), `vector_1t` (columnar Int predicates,
-/// sequential), and `vector_4t` (columnar + 4 morsel workers). Cost
-/// units are identical across variants (the determinism contract);
-/// only wall-clock may differ, which is exactly what this measures.
+/// at `1t` (sequential) and `4t` (4 morsel workers). Cost units are
+/// identical across variants (the determinism contract); only
+/// wall-clock may differ, which is exactly what this measures.
 fn bench_exec_morsels(c: &mut Criterion) {
     let scan_q = parse("SELECT COUNT(*) FROM fact f WHERE f.v > 500 AND f.g = 3").unwrap();
     let join_q = parse("SELECT COUNT(*) FROM fact f, dim d WHERE f.k = d.k AND f.v > 500").unwrap();
     let variants = [
-        ("scalar_1t", false, Parallelism::sequential()),
-        ("vector_1t", true, Parallelism::sequential()),
-        ("vector_4t", true, Parallelism::new(4)),
+        ("1t", Parallelism::sequential()),
+        ("4t", Parallelism::new(4)),
     ];
     for n in [10_000usize, 100_000] {
         let db = batch_db(n);
         let p = BuiltConfiguration::build(Configuration::named("p"), &db);
-        for (label, vectorize, par) in variants {
+        for (label, par) in variants {
             let exec = ExecOpts {
                 par,
-                vectorize,
                 ..ExecOpts::default()
             };
             let s = Session::new(&db, &p).with_exec(exec);

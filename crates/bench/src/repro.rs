@@ -1109,12 +1109,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     ctx.mark("convergence");
 
     // Executor micro-bench: wall-clock the morsel-driven executor on a
-    // sample of NREF queries under P (scalar/1t vs vectorized/1t vs
-    // vectorized/Nt). The record carries wall-clock, so it lands in
-    // `BENCH_exec.json` and is excluded from determinism byte-compares;
-    // `measure_exec` itself asserts that every variant produces the
-    // same outcome.
-    ctx.log("NREF: executor bench (morsel parallelism + vectorization)");
+    // sample of NREF queries under P (1 thread vs N threads). The record
+    // carries wall-clock, so it lands in `BENCH_exec.json` and is
+    // excluded from determinism byte-compares; `measure_exec` itself
+    // asserts that both variants produce the same outcome.
+    ctx.log("NREF: executor bench (morsel parallelism)");
     trace.span_begin("exec-bench");
     let exec_bench_queries: Vec<(String, Query)> = w2
         .iter()
@@ -1410,7 +1409,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         &render_convergence_curve(&convergence),
     );
 
-    // Executor bench record (schema `tab-exec-bench-v1`): wall-clock of
+    // Executor bench record (schema `tab-exec-bench-v2`): wall-clock of
     // the morsel-driven executor variants measured in the NREF section.
     // Wall-clock ⇒ `BENCH_` prefix ⇒ excluded from byte-compares.
     ctx.bytes(

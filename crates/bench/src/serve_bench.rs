@@ -313,16 +313,19 @@ fn drive(
             }
             LoadMode::Open { interarrival } => {
                 // Fixed arrival schedule; connection per request, so a
-                // slow response never delays the next arrival.
+                // slow response never delays the next arrival. The
+                // coordinator sleeps until each request is due and only
+                // then spawns it, so only requests in flight hold a
+                // thread.
                 let t0 = Instant::now();
                 for (i, &(qi, config)) in plan.iter().enumerate() {
+                    let due = interarrival * i as u32;
+                    if let Some(wait) = due.checked_sub(t0.elapsed()) {
+                        std::thread::sleep(wait);
+                    }
                     let results = &results;
                     let sql = &sql[qi];
                     scope.spawn(move || {
-                        let due = interarrival * i as u32;
-                        if let Some(wait) = due.checked_sub(t0.elapsed()) {
-                            std::thread::sleep(wait);
-                        }
                         let out = Client::connect(addr)
                             .map_err(|e| format!("request {i}: connect: {e}"))
                             .and_then(|mut cl| {

@@ -1,20 +1,13 @@
 //! Executor micro-measurements for `BENCH_exec.json`
-//! (schema `tab-exec-bench-v1`).
+//! (schema `tab-exec-bench-v2`).
 //!
 //! The morsel-driven executor (DESIGN.md §12) promises identical
-//! results and cost units at any thread count, morsel size, and
-//! vectorization setting — wall-clock is the only thing the knobs may
-//! change. This module measures exactly that promise on a sample of
-//! real benchmark queries: each query runs three ways —
-//!
-//! 1. **scalar, 1 thread** — the before picture (row-at-a-time
-//!    predicates, no intra-query parallelism);
-//! 2. **vectorized, 1 thread** — isolates the columnar predicate fast
-//!    path (and doubles as the ≤ 5% single-thread regression check);
-//! 3. **vectorized, N threads** — the after picture.
-//!
-//! and [`measure_exec`] *asserts* that all three produce the same
-//! outcome before recording their wall-clocks. Cost units, morsel
+//! results and cost units at any thread count and morsel size —
+//! wall-clock is the only thing the knobs may change. This module
+//! measures exactly that promise on a sample of real benchmark queries:
+//! each query runs at 1 thread and at N threads, and [`measure_exec`]
+//! *asserts* that both produce the same outcome before recording their
+//! wall-clocks. Cost units, morsel
 //! counts, and per-operator shapes in the record are deterministic;
 //! the `*_seconds` fields are wall-clock and therefore excluded from
 //! the determinism byte-compare (the `BENCH_` prefix, like every other
@@ -43,55 +36,41 @@ pub struct OpBench {
 pub struct ExecBenchEntry {
     /// Display name, e.g. `NREF2J/q0`.
     pub name: String,
-    /// Total cost units — identical across all three variants (checked
-    /// at measurement time).
+    /// Total cost units — identical at 1 and N threads (checked at
+    /// measurement time).
     pub units: f64,
     /// Result rows.
     pub result_rows: u64,
-    /// Total operator input rows (the throughput numerator for the
-    /// rows/sec fields).
+    /// Total operator input rows (the throughput numerator for
+    /// [`ExecBenchEntry::rows_per_sec`]).
     pub rows_in: u64,
     /// Morsel jobs dispatched across all operators.
     pub morsels: u64,
     /// Per-operator shapes in plan slot order.
     pub ops: Vec<OpBench>,
-    /// Wall-clock of the scalar single-threaded run (min over repeats).
-    pub scalar_1t_seconds: f64,
-    /// Wall-clock of the vectorized single-threaded run.
-    pub vector_1t_seconds: f64,
-    /// Wall-clock of the vectorized run at [`ExecBenchEntry::threads`].
-    pub vector_nt_seconds: f64,
+    /// Wall-clock of the single-threaded run (min over repeats).
+    pub seconds_1t: f64,
+    /// Wall-clock of the run at [`ExecBenchEntry::threads`].
+    pub seconds_nt: f64,
     /// Thread count of the parallel variant.
     pub threads: usize,
 }
 
 impl ExecBenchEntry {
-    /// Parallel speedup of the vectorized executor: 1-thread wall over
-    /// N-thread wall.
+    /// Parallel speedup: 1-thread wall over N-thread wall.
     pub fn parallel_speedup(&self) -> f64 {
-        self.vector_1t_seconds / self.vector_nt_seconds.max(1e-12)
+        self.seconds_1t / self.seconds_nt.max(1e-12)
     }
 
-    /// Vectorization speedup at one thread: scalar wall over vectorized
-    /// wall.
-    pub fn vectorized_speedup(&self) -> f64 {
-        self.scalar_1t_seconds / self.vector_1t_seconds.max(1e-12)
-    }
-
-    /// Operator-input rows per second through the scalar path.
-    pub fn scalar_rows_per_sec(&self) -> f64 {
-        self.rows_in as f64 / self.scalar_1t_seconds.max(1e-12)
-    }
-
-    /// Operator-input rows per second through the vectorized path.
-    pub fn vector_rows_per_sec(&self) -> f64 {
-        self.rows_in as f64 / self.vector_1t_seconds.max(1e-12)
+    /// Operator-input rows per second at one thread.
+    pub fn rows_per_sec(&self) -> f64 {
+        self.rows_in as f64 / self.seconds_1t.max(1e-12)
     }
 }
 
-/// Run `queries` against `built` three ways (scalar/1t, vectorized/1t,
-/// vectorized/`threads`) and collect wall-clocks plus the deterministic
-/// shape of each execution. `repeats` runs per variant, keeping the
+/// Run `queries` against `built` at 1 thread and at `threads` threads
+/// and collect wall-clocks plus the deterministic shape of each
+/// execution. `repeats` runs per variant, keeping the
 /// minimum wall (the least-noise estimator for CI runners).
 ///
 /// Panics if any variant disagrees on the outcome — the determinism
@@ -105,20 +84,18 @@ pub fn measure_exec(
     repeats: usize,
 ) -> Vec<ExecBenchEntry> {
     let repeats = repeats.max(1);
-    let variants = |vectorize: bool, par: Parallelism| ExecOpts {
+    let variant = |par: Parallelism| ExecOpts {
         par,
         morsel_rows,
-        vectorize,
         ..ExecOpts::default()
     };
-    let scalar_1t = variants(false, Parallelism::sequential());
-    let vector_1t = variants(true, Parallelism::sequential());
-    let vector_nt = variants(true, Parallelism::new(threads));
+    let opts_1t = variant(Parallelism::sequential());
+    let opts_nt = variant(Parallelism::new(threads));
     queries
         .iter()
         .map(|(name, q)| {
             // One instrumented reference run for the deterministic shape.
-            let session = Session::new(db, built).with_exec(vector_nt);
+            let session = Session::new(db, built).with_exec(opts_nt);
             let (reference, acts) = session
                 .run_instrumented(q, None)
                 .expect("bench queries bind against their database");
@@ -155,9 +132,8 @@ pub fn measure_exec(
                 }
                 best
             };
-            let scalar_1t_seconds = time(scalar_1t);
-            let vector_1t_seconds = time(vector_1t);
-            let vector_nt_seconds = time(vector_nt);
+            let seconds_1t = time(opts_1t);
+            let seconds_nt = time(opts_nt);
             ExecBenchEntry {
                 name: name.clone(),
                 units,
@@ -165,22 +141,21 @@ pub fn measure_exec(
                 rows_in,
                 morsels,
                 ops,
-                scalar_1t_seconds,
-                vector_1t_seconds,
-                vector_nt_seconds,
+                seconds_1t,
+                seconds_nt,
                 threads: Parallelism::new(threads).threads(),
             }
         })
         .collect()
 }
 
-/// Render the executor bench as the `tab-exec-bench-v1` JSON document.
+/// Render the executor bench as the `tab-exec-bench-v2` JSON document.
 /// Carries wall-clock, so — like every `BENCH_*` record except the
 /// convergence one — it is excluded from determinism byte-compares.
 pub fn exec_bench_json(threads: usize, morsel_rows: usize, entries: &[ExecBenchEntry]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"tab-exec-bench-v1\",\n");
+    s.push_str("  \"schema\": \"tab-exec-bench-v2\",\n");
     s.push_str(&format!("  \"query_threads\": {threads},\n"));
     s.push_str(&format!("  \"morsel_rows\": {morsel_rows},\n"));
     s.push_str("  \"queries\": [\n");
@@ -195,17 +170,13 @@ pub fn exec_bench_json(threads: usize, morsel_rows: usize, entries: &[ExecBenchE
             e.morsels,
         ));
         s.push_str(&format!(
-            "     \"scalar_1t_seconds\": {:.6}, \"vector_1t_seconds\": {:.6}, \
-             \"vector_nt_seconds\": {:.6}, \"threads\": {},\n",
-            e.scalar_1t_seconds, e.vector_1t_seconds, e.vector_nt_seconds, e.threads,
+            "     \"seconds_1t\": {:.6}, \"seconds_nt\": {:.6}, \"threads\": {},\n",
+            e.seconds_1t, e.seconds_nt, e.threads,
         ));
         s.push_str(&format!(
-            "     \"parallel_speedup\": {:.3}, \"vectorized_speedup\": {:.3}, \
-             \"scalar_rows_per_sec\": {:.0}, \"vector_rows_per_sec\": {:.0},\n",
+            "     \"parallel_speedup\": {:.3}, \"rows_per_sec\": {:.0},\n",
             e.parallel_speedup(),
-            e.vectorized_speedup(),
-            e.scalar_rows_per_sec(),
-            e.vector_rows_per_sec(),
+            e.rows_per_sec(),
         ));
         s.push_str("     \"ops\": [");
         for (j, op) in e.ops.iter().enumerate() {
@@ -242,9 +213,8 @@ mod tests {
                 morsels: 13,
                 units: 100.0,
             }],
-            scalar_1t_seconds: 0.080,
-            vector_1t_seconds: 0.040,
-            vector_nt_seconds: 0.010,
+            seconds_1t: 0.040,
+            seconds_nt: 0.010,
             threads: 4,
         }
     }
@@ -253,18 +223,17 @@ mod tests {
     fn speedups_and_throughput() {
         let e = entry();
         assert!((e.parallel_speedup() - 4.0).abs() < 1e-9);
-        assert!((e.vectorized_speedup() - 2.0).abs() < 1e-9);
-        assert!((e.scalar_rows_per_sec() - 625_000.0).abs() < 1e-3);
+        assert!((e.rows_per_sec() - 1_250_000.0).abs() < 1e-3);
     }
 
     #[test]
     fn json_is_schema_tagged_and_carries_the_record() {
         let j = exec_bench_json(4, 4096, &[entry()]);
-        assert!(j.contains("\"schema\": \"tab-exec-bench-v1\""), "{j}");
+        assert!(j.contains("\"schema\": \"tab-exec-bench-v2\""), "{j}");
         assert!(j.contains("\"query_threads\": 4"), "{j}");
         assert!(j.contains("\"morsel_rows\": 4096"), "{j}");
         assert!(j.contains("\"parallel_speedup\": 4.000"), "{j}");
-        assert!(j.contains("\"vectorized_speedup\": 2.000"), "{j}");
+        assert!(j.contains("\"rows_per_sec\": 1250000"), "{j}");
         assert!(j.contains("SeqScan(protein)"), "{j}");
         assert!(j.contains("\"morsels\": 13"), "{j}");
     }

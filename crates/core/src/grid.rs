@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use tab_engine::{ChargePolicy, ExecOpts, Outcome, PoolOpts, Session};
 use tab_sqlq::Query;
+use tab_storage::trace::json_escape;
 use tab_storage::{
     par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, Parallelism, PoolStats,
     Trace, TraceEvent,
@@ -378,7 +379,6 @@ fn execute_query(
         faults,
         fault_site: site.as_deref(),
         pool,
-        ..ExecOpts::default()
     };
     let session = Session::new(cell.db, cell.built).with_exec(exec);
     let t0 = Instant::now();
@@ -438,22 +438,6 @@ fn execute_query(
         (r.outcome, r.io)
     };
     (outcome, t0.elapsed().as_secs_f64(), io)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render cell timings as a `timings.json` document:

@@ -44,15 +44,6 @@
 //! can trip **only if** the true total would also trip — the final
 //! verdict (from the ordered reduction) is unaffected.
 //!
-//! Predicate evaluation over a morsel takes a columnar fast path when
-//! every constant in the relation's filters and ranges is an `Int`: the
-//! referenced columns are gathered into flat `i64` buffers plus a
-//! validity mask and the predicates are evaluated branch-reduced over
-//! the buffers. A morsel containing any non-`Int`, non-NULL cell in a
-//! predicate column falls back to the scalar row-at-a-time path, whose
-//! semantics the vectorized path reproduces exactly (`Int`/`Int`
-//! comparisons are exact in both).
-//!
 //! # Cost accounting is execution-strategy independent
 //!
 //! The meter's totals are *what* the plan touches, not *how* the
@@ -132,11 +123,11 @@ pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
 /// Execution knobs for morsel-driven intra-query parallelism.
 ///
-/// The defaults — sequential, [`DEFAULT_MORSEL_ROWS`], vectorization on
-/// — reproduce the historical executor byte for byte; so does **every
-/// other** setting, because cost totals derive from per-morsel counters
-/// reduced in morsel index order (see the module docs). The knobs only
-/// change wall-clock.
+/// The defaults — sequential, [`DEFAULT_MORSEL_ROWS`], no pool —
+/// reproduce the historical executor byte for byte; so does **every
+/// other** thread count and morsel size, because cost totals derive
+/// from per-morsel counters reduced in morsel index order (see the
+/// module docs). Those knobs only change wall-clock.
 #[derive(Clone, Copy)]
 pub struct ExecOpts<'a> {
     /// Worker threads for intra-query morsel dispatch. Distinct from
@@ -145,11 +136,6 @@ pub struct ExecOpts<'a> {
     pub par: Parallelism,
     /// Rows per morsel (clamped to at least 1).
     pub morsel_rows: usize,
-    /// Columnar `Int` fast path for predicate evaluation. Off forces
-    /// the scalar row-at-a-time path everywhere; results and costs are
-    /// identical either way (the microbenches flip this to measure the
-    /// vectorized speedup).
-    pub vectorize: bool,
     /// Fault-injection hook: when `fault_site` is armed in `faults`,
     /// every morsel worker panics at morsel start — the
     /// `panic:morsel:<family>/<config>` site of DESIGN.md §10.
@@ -167,7 +153,6 @@ impl Default for ExecOpts<'_> {
         ExecOpts {
             par: Parallelism::sequential(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            vectorize: true,
             faults: Faults::disabled(),
             fault_site: None,
             pool: None,
@@ -622,71 +607,30 @@ pub struct OpActuals {
     pub page_misses: u64,
 }
 
-/// Execute `plan`, returning the result rows in select-list order.
+/// Execute `plan`, returning the result rows in select-list order plus
+/// the buffer-pool counters of the run.
 ///
 /// Row order is deterministic for a fixed plan (morsel outputs are
 /// concatenated in morsel index order) but unspecified to callers;
 /// callers that compare results should sort.
+///
+/// When `ops` is supplied, one [`OpActuals`] is recorded per operator
+/// slot (layout `[FreqSetup, driver, step…, output]`, matching
+/// [`PhysicalPlan::op_labels`]); on timeout the vector holds the slots
+/// that completed before the budget ran out. Instrumentation is
+/// observational only: the meter sees identical charges either way.
+///
+/// The pool counters are all-zero when [`ExecOpts::pool`] configures no
+/// pool. On timeout they are not reported at all — how far a morsel
+/// region progressed past the budget is thread-timing dependent while
+/// the verdict itself is not.
 pub fn execute(
     plan: &PhysicalPlan,
     resolver: &Resolver<'_>,
     meter: &mut CostMeter,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_with(plan, resolver, meter, None, &ExecOpts::default())
-}
-
-/// [`execute`] with explicit [`ExecOpts`] (intra-query parallelism,
-/// morsel size, vectorization, fault injection).
-pub fn execute_with(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
     opts: &ExecOpts<'_>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_with(plan, resolver, meter, None, opts)
-}
-
-/// Execute `plan` like [`execute`], additionally recording one
-/// [`OpActuals`] per operator slot when `ops` is supplied (layout
-/// `[FreqSetup, driver, step…, output]`, matching
-/// [`PhysicalPlan::op_labels`]). On timeout the vector holds the slots
-/// that completed before the budget ran out. Instrumentation is
-/// observational only: the meter sees identical charges either way.
-pub fn execute_instrumented(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
-    ops: Option<&mut Vec<OpActuals>>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_with(plan, resolver, meter, ops, &ExecOpts::default())
-}
-
-/// [`execute_instrumented`] with explicit [`ExecOpts`].
-pub fn execute_instrumented_with(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
-    ops: Option<&mut Vec<OpActuals>>,
-    opts: &ExecOpts<'_>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_pooled(plan, resolver, meter, ops, opts, None)
-}
-
-/// [`execute_instrumented_with`] additionally reporting buffer-pool
-/// counters into `io_out` when [`ExecOpts::pool`] configures a pool.
-/// With no pool the counters stay zero and execution is byte-identical
-/// to the historical path. On timeout `io_out` is left untouched —
-/// partial pool counters are *not* reported, because how far a morsel
-/// region progressed past the budget is thread-timing dependent while
-/// the verdict itself is not.
-pub fn execute_instrumented_pooled(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
     mut ops: Option<&mut Vec<OpActuals>>,
-    opts: &ExecOpts<'_>,
-    io_out: Option<&mut PoolStats>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
+) -> Result<(Vec<Vec<Value>>, PoolStats), TimedOut> {
     let q = &plan.query;
     let mut ps = PoolState::of(opts);
 
@@ -1012,10 +956,7 @@ pub fn execute_instrumented_pooled(
             page_misses: io.misses() - io_at.misses(),
         });
     }
-    if let (Some(st), Some(io_out)) = (&ps, io_out) {
-        *io_out = st.pool.stats();
-    }
-    Ok(result)
+    Ok((result, pool_stats_now(&ps)))
 }
 
 /// Build the hash-join build side over the inner relation's filtered row
@@ -1031,17 +972,17 @@ pub fn execute_instrumented_pooled(
 /// the group-by performs for no measured win on the benchmark families
 /// (their joins all take the integer path). Returns the table plus the
 /// number of morsel jobs dispatched.
-fn build_hash_table<'c>(
+fn build_hash_table(
     inner_ids: &[RowId],
     inner_table: &Table,
-    mut inner_cols: impl Iterator<Item = usize> + Clone + 'c,
+    inner_cols: impl Iterator<Item = usize>,
     opts: &ExecOpts<'_>,
 ) -> (BuildTable, u64) {
-    let cols: Vec<usize> = inner_cols.by_ref().collect();
-    if cols.len() == 1 {
-        let c = cols[0];
+    let cols: Vec<usize> = inner_cols.collect();
+    let mut n_morsels = 0;
+    if let [c] = cols[..] {
         let ranges = morsel_ranges(inner_ids.len(), opts.morsel_rows);
-        let n_morsels = ranges.len() as u64;
+        n_morsels = ranges.len() as u64;
         let region = region_par(opts, inner_ids.len());
         let all_int = par_map(region, &ranges, |&(s, e)| {
             morsel_prologue(opts);
@@ -1076,22 +1017,6 @@ fn build_hash_table<'c>(
             }
             return (BuildTable::Int(merged), 2 * n_morsels);
         }
-        let mut interner = KeyInterner::new();
-        let mut buckets: Vec<Vec<RowId>> = Vec::new();
-        let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
-        for &id in inner_ids {
-            scratch.clear();
-            scratch.extend(cols.iter().map(|&c| inner_table.value(id, c).clone()));
-            if scratch.iter().any(Value::is_null) {
-                continue;
-            }
-            let key_id = interner.intern(&scratch) as usize;
-            if key_id == buckets.len() {
-                buckets.push(Vec::new());
-            }
-            buckets[key_id].push(id);
-        }
-        return (BuildTable::General { interner, buckets }, n_morsels);
     }
     let mut interner = KeyInterner::new();
     let mut buckets: Vec<Vec<RowId>> = Vec::new();
@@ -1108,7 +1033,7 @@ fn build_hash_table<'c>(
         }
         buckets[key_id].push(id);
     }
-    (BuildTable::General { interner, buckets }, 0)
+    (BuildTable::General { interner, buckets }, n_morsels)
 }
 
 /// Evaluate the distinct-value sets for the query's frequency filters.
@@ -1210,110 +1135,6 @@ impl IdSpan<'_> {
     }
 }
 
-/// The vectorizable part of a relation's residual predicates: every
-/// filter and range constant is an `Int`. `Int`/`Int` comparison is
-/// exact `i64` comparison under [`Value`]'s ordering, so evaluating
-/// over gathered `i64` buffers reproduces the scalar semantics bit for
-/// bit; a morsel whose predicate columns hold anything but `Int`/NULL
-/// cells bails out to the scalar path wholesale.
-struct VecPredicates {
-    filters: Vec<(usize, i64)>,
-    ranges: Vec<(usize, RangeOp, i64)>,
-}
-
-/// Admission check for the columnar path, decided once per scan.
-fn vec_predicates(op: &RelOp, vectorize: bool) -> Option<VecPredicates> {
-    if !vectorize || (op.filters.is_empty() && op.ranges.is_empty()) {
-        return None;
-    }
-    let mut filters = Vec::with_capacity(op.filters.len());
-    for (c, v) in &op.filters {
-        match v {
-            Value::Int(k) => filters.push((*c, *k)),
-            _ => return None,
-        }
-    }
-    let mut ranges = Vec::with_capacity(op.ranges.len());
-    for (c, r, v) in &op.ranges {
-        match v {
-            Value::Int(k) => ranges.push((*c, *r, *k)),
-            _ => return None,
-        }
-    }
-    Some(VecPredicates { filters, ranges })
-}
-
-/// Scratch buffer for one morsel's columnar evaluation: the survivor
-/// mask, reused across the predicate columns evaluated for that morsel.
-#[derive(Default)]
-struct VecScratch {
-    mask: Vec<bool>,
-}
-
-/// Evaluate `vp` columnar over one morsel, appending surviving ids to
-/// `out`. Each predicate column is swept as one tight `i64` loop over
-/// the morsel, ANDing into the survivor mask; rows already dead skip
-/// the cell read entirely, so later columns cost only the survivors
-/// (the columnar analogue of the scalar path's short-circuit). Returns
-/// `false` — with nothing appended — when a live predicate cell holds a
-/// non-`Int`, non-NULL value, in which case the caller runs the scalar
-/// path over the same morsel.
-#[allow(clippy::too_many_arguments)]
-fn filter_morsel_vectorized(
-    vp: &VecPredicates,
-    op: &RelOp,
-    exec: &Exec<'_>,
-    table: &Table,
-    ids: &IdSpan<'_>,
-    start: usize,
-    end: usize,
-    scratch: &mut VecScratch,
-    out: &mut Vec<RowId>,
-) -> bool {
-    let n = end - start;
-    scratch.mask.clear();
-    scratch.mask.resize(n, true);
-    let mask = &mut scratch.mask;
-    // One column sweep per predicate: `cmp` sees only `Int` cells.
-    macro_rules! sweep {
-        ($c:expr, $cmp:expr) => {
-            for j in 0..n {
-                if mask[j] {
-                    match table.value(ids.get(start + j), $c) {
-                        Value::Int(v) => mask[j] = $cmp(*v),
-                        Value::Null => mask[j] = false,
-                        _ => return false,
-                    }
-                }
-            }
-        };
-    }
-    for &(c, k) in &vp.filters {
-        sweep!(c, |v: i64| v == k);
-    }
-    for &(c, r, k) in &vp.ranges {
-        match r {
-            RangeOp::Lt => sweep!(c, |v: i64| v < k),
-            RangeOp::Le => sweep!(c, |v: i64| v <= k),
-            RangeOp::Gt => sweep!(c, |v: i64| v > k),
-            RangeOp::Ge => sweep!(c, |v: i64| v >= k),
-        }
-    }
-    // Frequency filters stay scalar (HashSet membership), applied only
-    // to rows that survived the vectorized predicates.
-    for (j, live) in mask.iter().enumerate() {
-        if *live {
-            let id = ids.get(start + j);
-            if op.freqs.is_empty()
-                || passes_freqs(table.row(id), &op.freqs, exec.q, &exec.freq_sets)
-            {
-                out.push(id);
-            }
-        }
-    }
-    true
-}
-
 /// Filter a scan's candidate rows through the relation's residual
 /// predicates, morsel-parallel. Output order equals input order (morsel
 /// chunks concatenated in morsel index order), so the result is
@@ -1329,29 +1150,19 @@ fn filter_rows(
     opts: &ExecOpts<'_>,
 ) -> (Vec<RowId>, u64) {
     let q = exec.q;
-    let vp = vec_predicates(op, opts.vectorize);
     let ranges = morsel_ranges(ids.len(), opts.morsel_rows);
     let n_morsels = ranges.len() as u64;
     let chunks: Vec<Vec<RowId>> = par_map(region_par(opts, ids.len()), &ranges, |&(s, e)| {
         morsel_prologue(opts);
         let mut out = Vec::new();
-        let vectorized = match &vp {
-            Some(vp) => {
-                let mut scratch = VecScratch::default();
-                filter_morsel_vectorized(vp, op, exec, table, &ids, s, e, &mut scratch, &mut out)
-            }
-            None => false,
-        };
-        if !vectorized {
-            for i in s..e {
-                let id = ids.get(i);
-                let row = table.row(id);
-                if passes_filters(row, &op.filters)
-                    && passes_ranges(row, &op.ranges)
-                    && passes_freqs(row, &op.freqs, q, &exec.freq_sets)
-                {
-                    out.push(id);
-                }
+        for i in s..e {
+            let id = ids.get(i);
+            let row = table.row(id);
+            if passes_filters(row, &op.filters)
+                && passes_ranges(row, &op.ranges)
+                && passes_freqs(row, &op.freqs, q, &exec.freq_sets)
+            {
+                out.push(id);
             }
         }
         out

@@ -13,7 +13,7 @@ use tab_storage::{
 
 use crate::catalog::{bind, BindError};
 use crate::cost::{CostMeter, Outcome};
-use crate::exec::{execute_instrumented_pooled, ExecOpts, OpActuals, Resolver};
+use crate::exec::{execute, ExecOpts, OpActuals, Resolver};
 use crate::plan::PhysicalPlan;
 use crate::planner::{plan, plan_explained, PlanExplanation};
 use crate::stats_view::{HypotheticalStats, RealStats};
@@ -52,8 +52,8 @@ pub struct Session<'a> {
 
 impl<'a> Session<'a> {
     /// Open a session. `db.collect_stats()` must have been called.
-    /// Queries execute with the default [`ExecOpts`] (sequential,
-    /// vectorized); see [`Session::with_exec`].
+    /// Queries execute with the default [`ExecOpts`] (sequential, no
+    /// buffer pool); see [`Session::with_exec`].
     pub fn new(db: &'a Database, built: &'a BuiltConfiguration) -> Self {
         Session {
             db,
@@ -63,7 +63,7 @@ impl<'a> Session<'a> {
     }
 
     /// Replace the execution options (intra-query threads, morsel size,
-    /// vectorization, fault injection). Any setting produces identical
+    /// buffer pool, fault injection). Any setting produces identical
     /// results, costs, and outcomes — see the `exec` module docs.
     pub fn with_exec(mut self, exec: ExecOpts<'a>) -> Self {
         self.exec = exec;
@@ -120,10 +120,8 @@ impl<'a> Session<'a> {
             None => CostMeter::unbounded(),
         };
         let resolver = Resolver::new(self.db, self.built);
-        let mut io = PoolStats::default();
-        match execute_instrumented_pooled(&p, &resolver, &mut meter, ops, &self.exec, Some(&mut io))
-        {
-            Ok(rows) => Ok(RunResult {
+        match execute(&p, &resolver, &mut meter, &self.exec, ops) {
+            Ok((rows, io)) => Ok(RunResult {
                 outcome: Outcome::Done {
                     units: meter.units(),
                     rows: rows.len() as u64,
@@ -138,7 +136,8 @@ impl<'a> Session<'a> {
                 },
                 rows: None,
                 plan: p,
-                // Deliberately zeroed: `io` is only written on success.
+                // Deliberately zeroed: pool counters are only reported
+                // on success.
                 io: PoolStats::default(),
             }),
         }

@@ -30,14 +30,18 @@ pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
     if let Some(s) = rest.strip_prefix('"') {
-        // String value: trace keys never contain escaped quotes, and
-        // label values escape them as \" — scan for the bare quote.
-        let mut prev = b' ';
-        for (i, b) in s.bytes().enumerate() {
-            if b == b'"' && prev != b'\\' {
-                return Some(&s[..i]);
+        // String value: scan for the closing quote, stepping over each
+        // escape pair whole so `\\` (an escaped backslash) right before
+        // the closing quote cannot hide it, while `\"` still does not
+        // end the value.
+        let bytes = s.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'\\' => i += 2,
+                b'"' => return Some(&s[..i]),
+                _ => i += 1,
             }
-            prev = b;
         }
         None
     } else {

@@ -147,7 +147,7 @@ fn repro_outputs_identical_at_one_and_four_threads() {
     // wall-clock, so only its presence and deterministic header fields
     // are checked here (the snapshot above skips it by BENCH_ prefix).
     let exec = std::fs::read_to_string(dirs[3].join("BENCH_exec.json")).expect("BENCH_exec.json");
-    assert!(exec.contains("\"schema\": \"tab-exec-bench-v1\""), "{exec}");
+    assert!(exec.contains("\"schema\": \"tab-exec-bench-v2\""), "{exec}");
     assert!(exec.contains("\"query_threads\": 4"), "{exec}");
     assert!(exec.contains("\"morsel_rows\": 64"), "{exec}");
 

@@ -85,21 +85,12 @@ fn check_family(family: Family, db: &Database) {
                 family.name()
             );
             // Morsel-driven executor: every (query-threads, morsel-rows)
-            // pairing — and the scalar predicate path — must reproduce
-            // the same rows and bit-identical cost units as the default
-            // sequential run above.
-            for (threads, morsel_rows, vectorize) in [
-                (1, 64, true),
-                (2, 64, true),
-                (2, 4096, true),
-                (8, 64, true),
-                (8, 4096, true),
-                (2, 64, false),
-            ] {
+            // pairing must reproduce the same rows and bit-identical
+            // cost units as the default sequential run above.
+            for (threads, morsel_rows) in [(1, 64), (2, 64), (2, 4096), (8, 64), (8, 4096)] {
                 let exec = ExecOpts {
                     par: Parallelism::new(threads),
                     morsel_rows,
-                    vectorize,
                     ..ExecOpts::default()
                 };
                 let rp = Session::new(db, built)
@@ -114,14 +105,14 @@ fn check_family(family: Family, db: &Database) {
                     expect,
                     got,
                     "{} query {qi} under {cname} diverges at {threads} query-threads, \
-                     morsel {morsel_rows}, vectorize={vectorize}:\n{q}",
+                     morsel {morsel_rows}:\n{q}",
                     family.name()
                 );
                 assert_eq!(
                     rp.outcome.units(),
                     Some(units),
                     "{} query {qi} under {cname}: cost units drift at {threads} \
-                     query-threads, morsel {morsel_rows}, vectorize={vectorize}",
+                     query-threads, morsel {morsel_rows}",
                     family.name()
                 );
             }

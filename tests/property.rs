@@ -298,8 +298,9 @@ fn execution_is_deterministic() {
         let resolver = Resolver::new(&db, &built);
         let mut m1 = CostMeter::unbounded();
         let mut m2 = CostMeter::unbounded();
-        tab_bench::engine::execute(&plan, &resolver, &mut m1).unwrap();
-        tab_bench::engine::execute(&plan, &resolver, &mut m2).unwrap();
+        let opts = tab_bench::engine::ExecOpts::default();
+        tab_bench::engine::execute(&plan, &resolver, &mut m1, &opts, None).unwrap();
+        tab_bench::engine::execute(&plan, &resolver, &mut m2, &opts, None).unwrap();
         assert_eq!(m1.units(), m2.units(), "case {case}: shape {shape:?}");
     }
 }
